@@ -27,7 +27,7 @@ import os
 import time
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -122,25 +122,77 @@ class TaskContext:
         self.counters.increment(group, name, amount)
 
 
-@dataclass
 class JobResult:
-    """Everything a driver needs from a finished job."""
+    """Everything a driver needs from a finished job.
 
-    job_name: str
-    output: list[tuple]  # reduce output records (or map output for map-only jobs)
-    counters: Counters
-    map_stats: TaskStats
-    reduce_stats: TaskStats
-    partitions: dict[int, list[tuple]] = field(default_factory=dict)
-    from_checkpoint: bool = False  # restored by job-flow recovery, not re-executed
-    #: Columnar twin of ``output`` when the job ran on the batched path
-    #: (None otherwise); downstream stages read it to stay columnar.
-    output_batch: RecordBatch | None = None
+    ``output`` holds the reduce output records (or the map output of a
+    map-only job) and ``partitions`` the output records of each reduce
+    partition. A job that ran on the batched plane carries them columnar
+    instead — ``output_batch`` (``None`` otherwise) and one batch (or
+    ``None`` for an empty partition) per reduce partition — and the two
+    record views are built from those batches on first read, so a driver
+    that stays columnar never pays for per-record tuples.
+    """
+
+    def __init__(
+        self,
+        job_name: str,
+        counters: Counters,
+        map_stats: TaskStats,
+        reduce_stats: TaskStats,
+        *,
+        output: list[tuple] | None = None,
+        partitions: dict[int, list[tuple]] | None = None,
+        output_batch: RecordBatch | None = None,
+        partition_batches: dict[int, RecordBatch | None] | None = None,
+        from_checkpoint: bool = False,
+    ):
+        self.job_name = job_name
+        self.counters = counters
+        self.map_stats = map_stats
+        self.reduce_stats = reduce_stats
+        self.output_batch = output_batch
+        self.from_checkpoint = from_checkpoint  # restored by job-flow recovery
+        self._output = output
+        self._partitions = partitions
+        self._partition_batches = partition_batches
+
+    @property
+    def output(self) -> list[tuple]:
+        """Output records (built from ``output_batch`` on first read)."""
+        if self._output is None:
+            batch = self.output_batch
+            self._output = batch.to_records() if batch is not None else []
+        return self._output
+
+    @property
+    def partitions(self) -> dict[int, list[tuple]]:
+        """Output records per reduce partition (built on first read)."""
+        if self._partitions is None:
+            self._partitions = {
+                p: batch.to_records() if batch is not None else []
+                for p, batch in (self._partition_batches or {}).items()
+            }
+        return self._partitions
+
+    @property
+    def n_output_records(self) -> int:
+        """Number of output records, without building the record list."""
+        if self.output_batch is not None:
+            return len(self.output_batch)
+        return len(self.output)
 
     @property
     def makespan(self) -> float:
         """Simulated wall-clock: map phase + reduce phase (reduce waits for all maps)."""
         return self.map_stats.makespan + self.reduce_stats.makespan
+
+    def __repr__(self) -> str:
+        return (
+            f"JobResult(job_name={self.job_name!r}, n_output_records="
+            f"{self.n_output_records}, makespan={self.makespan!r}, "
+            f"from_checkpoint={self.from_checkpoint})"
+        )
 
 
 def stable_hash(key: Any) -> int:
@@ -387,7 +439,7 @@ class MapReduceEngine:
         with tracer.span("mr.job", job=job.name, n_splits=len(splits)) as job_span:
             result = self._run_job(job, splits, tracer, job_span)
             job_span.set("makespan", result.makespan)
-            job_span.set("n_output_records", len(result.output))
+            job_span.set("n_output_records", result.n_output_records)
         return result
 
     def _parallel_tasks_enabled(self, job: JobSpec) -> bool:
@@ -588,15 +640,12 @@ class MapReduceEngine:
 
         if job.reducer is None:
             out_batches = [r.records for r in map_results if len(r.records)]
-            output_batch = RecordBatch.concat(out_batches) if out_batches else None
-            output = output_batch.to_records() if output_batch is not None else []
             return JobResult(
                 job_name=job.name,
-                output=output,
                 counters=counters,
                 map_stats=map_stats,
                 reduce_stats=TaskStats(n_tasks=0, total_cost=0.0, makespan=0.0),
-                output_batch=output_batch,
+                output_batch=RecordBatch.concat(out_batches) if out_batches else None,
             )
 
         # -- shuffle + reduce phase -----------------------------------------
@@ -614,13 +663,15 @@ class MapReduceEngine:
                 )
         phase_start = time.perf_counter()
         if parallel:
-            output, partition_outputs, reduce_costs, output_batch = (
-                self._batch_reduce_phase_parallel(job, partitions, counters, tracer)
+            partition_batches, reduce_costs = self._batch_reduce_phase_parallel(
+                job, partitions, counters, tracer
             )
         else:
-            output, partition_outputs, reduce_costs, output_batch = (
-                self._batch_reduce_phase_serial(job, partitions, counters, tracer)
+            partition_batches, reduce_costs = self._batch_reduce_phase_serial(
+                job, partitions, counters, tracer
             )
+        out_batches = [b for b in partition_batches.values() if b is not None]
+        output_batch = RecordBatch.concat(out_batches) if out_batches else None
         reduce_wall = time.perf_counter() - phase_start
         # Same between-phase decision point as the record path — identical
         # scheduling inputs keep the two data planes' makespans bit-identical.
@@ -634,17 +685,17 @@ class MapReduceEngine:
             from repro.verify.invariants import check_counter_equals
 
             check_counter_equals(
-                counters, "reduce", "output_records", len(output),
+                counters, "reduce", "output_records",
+                len(output_batch) if output_batch is not None else 0,
                 stage=f"mr.job:{job.name}",
             )
         return JobResult(
             job_name=job.name,
-            output=output,
             counters=counters,
             map_stats=map_stats,
             reduce_stats=reduce_stats,
-            partitions=partition_outputs,
             output_batch=output_batch,
+            partition_batches=partition_batches,
         )
 
     def _shuffle_batched(self, job: JobSpec, map_results, counters: Counters):
@@ -746,10 +797,8 @@ class MapReduceEngine:
         return map_results
 
     def _batch_reduce_phase_serial(self, job, partitions, counters, tracer):
-        output: list[tuple] = []
         reduce_costs = []
-        partition_outputs: dict[int, list[tuple]] = {}
-        part_batches: list[RecordBatch] = []
+        partition_batches: dict[int, RecordBatch | None] = {}
         try:
             for p in sorted(partitions):
                 ctx = TaskContext(job=job, counters=counters, task_id=f"reduce-{p}")
@@ -768,17 +817,12 @@ class MapReduceEngine:
                         tracer.metrics.histogram(
                             "mr.task_seconds", time_buckets()
                         ).observe(elapsed)
-                part_records = part_out.to_records() if part_out is not None else []
-                if part_out is not None:
-                    part_batches.append(part_out)
-                partition_outputs[p] = part_records
-                output.extend(part_records)
+                partition_batches[p] = part_out
                 reduce_costs.append(cost)
         except Exception as exc:
             exc.counters = counters
             raise
-        output_batch = RecordBatch.concat(part_batches) if part_batches else None
-        return output, partition_outputs, reduce_costs, output_batch
+        return partition_batches, reduce_costs
 
     def _batch_reduce_phase_parallel(self, job, partitions, counters, tracer):
         order = sorted(partitions)
@@ -793,10 +837,8 @@ class MapReduceEngine:
         finally:
             for handle in owners:
                 handle.unlink()
-        output: list[tuple] = []
         reduce_costs = []
-        partition_outputs: dict[int, list[tuple]] = {}
-        part_batches: list[RecordBatch] = []
+        partition_batches: dict[int, RecordBatch | None] = {}
         for p, (status, value, task_counters, elapsed) in zip(order, outcomes):
             counters.merge(task_counters)
             if status == "error":
@@ -815,14 +857,9 @@ class MapReduceEngine:
                     tracer.metrics.histogram(
                         "mr.task_seconds", time_buckets()
                     ).observe(elapsed)
-            part_records = part_out.to_records() if part_out is not None else []
-            if part_out is not None:
-                part_batches.append(part_out)
-            partition_outputs[p] = part_records
-            output.extend(part_records)
+            partition_batches[p] = part_out
             reduce_costs.append(cost)
-        output_batch = RecordBatch.concat(part_batches) if part_batches else None
-        return output, partition_outputs, reduce_costs, output_batch
+        return partition_batches, reduce_costs
 
     # -- phase drivers (serial / parallel) -----------------------------------
 

@@ -6,13 +6,13 @@ provisioned cluster ("a collection of processing steps that EMR runs on a
 specified dataset using a set of Amazon EC2 instances").
 
 Job flows are the unit of *driver-crash recovery*: when a checkpoint store
-is attached, every completed MapReduce step persists its output (plus its
-counters and scheduling stats), and ``run(resume=True)`` replays the flow
-restoring completed job steps from their checkpoints instead of re-executing
-them. Driver-side action steps are deterministic and cheap, so they re-run
-on resume. A step whose tasks exhaust their retry budget surfaces as a
-structured :class:`JobFlowError` carrying the failed step and its partial
-counters.
+is attached, every completed MapReduce step persists its output (columnar
+when the step ran on the batched plane) plus its counters and scheduling
+stats, and ``run(resume=True)`` replays the flow restoring completed job
+steps from their checkpoints instead of re-executing them. Driver-side
+action steps are deterministic and cheap, so they re-run on resume. A step
+whose tasks exhaust their retry budget surfaces as a structured
+:class:`JobFlowError` carrying the failed step and its partial counters.
 
 Checkpoint I/O goes through the hardened
 :class:`~repro.mapreduce.storage.ResilientStore` client (a raw store passed
@@ -71,8 +71,8 @@ class Job:
         """Read splits from ``input_path``, run, write output to ``output_path``.
 
         A job that ran on the batched data plane writes its columnar output
-        so the next stage's splits stay columnar; checkpoints (and the
-        record path) keep the materialised record list.
+        so the next stage's splits stay columnar; the record path writes its
+        record list.
         """
         splits = fs.splits(self.input_path)
         result = engine.run(self.spec, splits)
@@ -250,7 +250,8 @@ class JobFlow:
                     step_span.set("from_checkpoint", True)
                     tracer.event(
                         "jobflow.restore",
-                        step=step.name, index=index, key=key, n_records=len(result.output),
+                        step=step.name, index=index, key=key,
+                        n_records=result.n_output_records,
                     )
                     return result
             try:
@@ -272,32 +273,55 @@ class JobFlow:
                     step=step.name, index=index, key=key, wasted_cost=result.makespan,
                 )
             if store is not None:
-                store.put(
-                    key,
-                    {
-                        "step_name": step.name,
-                        "output": list(result.output),
-                        "counters": result.counters.as_dict(),
-                        "map_stats": result.map_stats,
-                        "reduce_stats": result.reduce_stats,
-                    },
-                )
+                store.put(key, self._checkpoint_payload(step, result))
                 tracer.event(
                     "jobflow.checkpoint",
-                    step=step.name, index=index, key=key, n_records=len(result.output),
+                    step=step.name, index=index, key=key,
+                    n_records=result.n_output_records,
                 )
             step_span.set("makespan", result.makespan)
         return result
 
+    @staticmethod
+    def _checkpoint_payload(step: JobFlowStep, result: JobResult) -> dict:
+        """What a completed step persists: its output plus its statistics.
+
+        A step that ran on the batched plane stores its columnar output (a
+        handful of arrays, pickled at roughly memcpy cost); a record-plane
+        step stores its record list.
+        """
+        payload = {
+            "step_name": step.name,
+            "counters": result.counters.as_dict(),
+            "map_stats": result.map_stats,
+            "reduce_stats": result.reduce_stats,
+        }
+        if result.output_batch is not None:
+            payload["output_batch"] = result.output_batch
+        else:
+            payload["output"] = list(result.output)
+        return payload
+
     def _restore(self, step: JobFlowStep, payload: dict) -> JobResult:
-        """Re-materialise a completed step from its checkpoint."""
-        output = list(payload["output"])
-        self.fs.write(step.job.output_path, output, overwrite=True)
+        """Re-materialise a completed step from its checkpoint.
+
+        A columnar checkpoint is written back to the filesystem as a batch,
+        so a resumed flow stays on the batched plane; a record checkpoint
+        (a record-plane step, or one written before columnar checkpoints)
+        restores its record list.
+        """
+        if "output_batch" in payload:
+            output, batch = None, payload["output_batch"]
+            self.fs.write(step.job.output_path, batch, overwrite=True)
+        else:
+            output, batch = list(payload["output"]), None
+            self.fs.write(step.job.output_path, output, overwrite=True)
         return JobResult(
             job_name=step.name,
-            output=output,
             counters=Counters.from_dict(payload["counters"]),
             map_stats=payload["map_stats"],
             reduce_stats=payload["reduce_stats"],
+            output=output,
+            output_batch=batch,
             from_checkpoint=True,
         )

@@ -160,7 +160,9 @@ def unpack_envelope(data, *, key: str = "") -> object:
 
     Raises :class:`CorruptObjectError` with a specific ``reason`` on any
     mismatch — the caller never sees a bare ``EOFError``/``UnpicklingError``
-    from a torn or corrupted object.
+    from a torn or corrupted object. The header is read in place and the
+    CRC and unpickle run over a view of the payload, so verifying a large
+    object never copies it.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise CorruptObjectError(
@@ -173,7 +175,7 @@ def unpack_envelope(data, *, key: str = "") -> object:
             f"({len(data)} < {_HEADER.size} bytes)",
             key=key, reason="truncated-header",
         )
-    magic, version, crc, length = _HEADER.unpack_from(bytes(data))
+    magic, version, crc, length = _HEADER.unpack_from(data)
     if magic != ENVELOPE_MAGIC:
         raise CorruptObjectError(
             f"object {key!r} has bad envelope magic {magic!r}", key=key, reason="bad-magic"
@@ -183,24 +185,25 @@ def unpack_envelope(data, *, key: str = "") -> object:
             f"object {key!r} has unsupported envelope version {version}",
             key=key, reason="unsupported-version",
         )
-    payload = bytes(data[_HEADER.size :])
-    if len(payload) != length:
+    size = len(data) - _HEADER.size
+    if size != length:
         raise CorruptObjectError(
-            f"object {key!r} is torn: payload is {len(payload)} bytes, envelope "
+            f"object {key!r} is torn: payload is {size} bytes, envelope "
             f"promises {length}",
             key=key, reason="torn",
         )
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise CorruptObjectError(
-            f"object {key!r} failed its CRC32 check", key=key, reason="checksum"
-        )
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:
-        raise CorruptObjectError(
-            f"object {key!r} passed its checksum but failed to decode: {exc}",
-            key=key, reason="undecodable",
-        ) from exc
+    with memoryview(data) as view, view[_HEADER.size :] as payload:
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            raise CorruptObjectError(
+                f"object {key!r} failed its CRC32 check", key=key, reason="checksum"
+            )
+        try:
+            return pickle.loads(payload)
+        except Exception as exc:
+            raise CorruptObjectError(
+                f"object {key!r} passed its checksum but failed to decode: {exc}",
+                key=key, reason="undecodable",
+            ) from exc
 
 
 # -- the base object store ---------------------------------------------------

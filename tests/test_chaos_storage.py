@@ -26,10 +26,12 @@ from repro.mapreduce import (
     ChaosStore,
     ElasticMapReduce,
     FaultyEngine,
+    RecordBatch,
     RetryPolicy,
     StorageError,
     StorageFaultPolicy,
 )
+from repro.mapreduce.engine import DATA_PLANE_ENV
 from repro.mapreduce.faults import FaultPolicy
 from repro.observability import Tracer, fault_summary, use_tracer
 
@@ -154,6 +156,12 @@ class TestUnsurvivableSchedules:
 
 
 class TestDamagedCheckpointRecovery:
+    """Damage to the stage-1 checkpoint, which holds a columnar RecordBatch."""
+
+    @pytest.fixture(autouse=True)
+    def batched_plane(self, monkeypatch):
+        monkeypatch.delenv(DATA_PLANE_ENV, raising=False)
+
     def crash_and_damage(self, X, damage):
         """Run two steps, apply ``damage`` to the step-0 checkpoint bytes,
         then resume. Returns (resumed result, emr, flow_id, tracer)."""
@@ -162,6 +170,7 @@ class TestDamagedCheckpointRecovery:
         flow_id = dasc.submit(X)
         emr.run_job_flow(flow_id, max_steps=2)  # "driver crash"
         key = f"{flow_id}/checkpoints/step-000"
+        assert isinstance(emr.storage.get(key)["output_batch"], RecordBatch)
         emr.s3.put(key, damage(bytearray(emr.s3.get(key))))
         tracer = Tracer()
         with use_tracer(tracer):
@@ -172,6 +181,9 @@ class TestDamagedCheckpointRecovery:
         key = f"{flow_id}/checkpoints/step-000"
         assert np.array_equal(resumed.labels, baseline.labels)
         assert resumed.counters == baseline.counters
+        assert resumed.makespan == baseline.makespan
+        # The re-executed step rewrote a good columnar checkpoint.
+        assert isinstance(emr.storage.get(key)["output_batch"], RecordBatch)
         assert emr.s3.exists(key + ".corrupt")  # damaged bytes kept for post-mortem
         assert 0 not in resumed.resumed_steps  # step 0 re-executed, not restored
         ledger = fault_summary(tracer.sink.records)
@@ -205,5 +217,6 @@ class TestDamagedCheckpointRecovery:
         baseline = run_dasc(X)
         resumed, emr, flow_id, _ = self.crash_and_damage(X, lambda data: bytes(data))
         assert np.array_equal(resumed.labels, baseline.labels)
+        assert resumed.makespan == baseline.makespan
         assert 0 in resumed.resumed_steps
         assert not emr.s3.exists(f"{flow_id}/checkpoints/step-000.corrupt")

@@ -12,8 +12,10 @@ from repro.mapreduce import (
     JobFlowError,
     JobSpec,
     MapReduceEngine,
+    RecordBatch,
     SimulatedHDFS,
 )
+from repro.mapreduce.engine import DATA_PLANE_ENV
 from repro.mapreduce.job import JobFlow
 
 
@@ -137,3 +139,115 @@ class TestDistributedDASCResume:
         dasc = DistributedDASC(4, n_nodes=2)
         with pytest.raises(KeyError):
             dasc.collect("j-999999")
+
+
+def array_bytes(batch):
+    """Bytes held by a RecordBatch's key and value arrays."""
+
+    def column_bytes(values):
+        if isinstance(values, tuple):
+            return sum(column_bytes(col) for col in values)
+        return values.nbytes
+
+    return batch.keys.nbytes + column_bytes(batch.values)
+
+
+class TestColumnarCheckpoints:
+    """Batched steps checkpoint their RecordBatch; a resume stays columnar."""
+
+    @pytest.fixture(autouse=True)
+    def batched_plane(self, monkeypatch):
+        monkeypatch.delenv(DATA_PLANE_ENV, raising=False)
+
+    def crash_after_stage1(self, X):
+        emr = ElasticMapReduce()
+        dasc = DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=0), emr=emr)
+        flow_id = dasc.submit(X)
+        emr.run_job_flow(flow_id, max_steps=1)  # driver dies after step 0
+        return emr, dasc, flow_id
+
+    def test_batched_step_checkpoints_its_batch(self, blobs_small):
+        """Structural guard: the payload is a few arrays, not one tuple per point."""
+        X, _ = blobs_small
+        emr, _, flow_id = self.crash_after_stage1(X)
+        key = f"{flow_id}/checkpoints/step-000"
+        payload = emr.storage.get(key)
+        assert "output" not in payload
+        batch = payload["output_batch"]
+        assert isinstance(batch, RecordBatch)
+        assert len(batch) == len(X)
+        assert not any(isinstance(v, list) and len(v) >= len(X) for v in payload.values())
+        # Pickled arrays cost their bytes plus a small fixed header; a record
+        # list of (signature, (index, vector)) tuples costs several times more.
+        assert len(emr.s3.get(key)) <= 1.2 * array_bytes(batch)
+
+    def test_every_batched_job_step_is_columnar(self, blobs_small):
+        X, _ = blobs_small
+        emr = ElasticMapReduce()
+        dasc = DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=0), emr=emr)
+        flow_id = dasc.submit(X)
+        emr.run_job_flow(flow_id)
+        dasc.collect(flow_id)
+        for index in (0, 2):  # stage 1 (LSH) and stage 2 (spectral)
+            payload = emr.storage.get(f"{flow_id}/checkpoints/step-{index:03d}")
+            assert isinstance(payload["output_batch"], RecordBatch)
+            assert "output" not in payload
+
+    def test_batched_run_builds_no_record_tuples(self, blobs_small, monkeypatch):
+        """The driver and the checkpoints read batches; nothing asks for records."""
+        X, _ = blobs_small
+        calls = []
+        to_records = RecordBatch.to_records
+
+        def counting_to_records(batch):
+            calls.append(len(batch))
+            return to_records(batch)
+
+        monkeypatch.setattr(RecordBatch, "to_records", counting_to_records)
+        DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=0)).run(X)
+        assert calls == []
+
+    def test_record_plane_step_checkpoints_records(self):
+        from repro.mapreduce import S3Store
+
+        store = S3Store()
+        flow = make_flow(store)  # record-only jobs: no batched twins
+        flow.run()
+        client = flow._checkpoint_client()
+        payload = client.get("flows/test/checkpoints/step-000")
+        assert "output_batch" not in payload
+        assert payload["output"] == flow.results[0].output
+
+    def test_resume_stays_columnar(self, blobs_small):
+        """A resumed flow keeps the batched plane for the merge and stage 2."""
+        X, _ = blobs_small
+        baseline = DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=0)).run(X)
+
+        emr, dasc, flow_id = self.crash_after_stage1(X)
+        flow = emr._flow(flow_id).flow
+        result = dasc.resume(flow_id)
+        assert 0 in result.resumed_steps
+        assert isinstance(flow.fs.read("signatures"), RecordBatch)
+        assert isinstance(flow.fs.read("buckets"), RecordBatch)
+        assert np.array_equal(result.labels, baseline.labels)
+        assert result.counters == baseline.counters
+        assert result.makespan == baseline.makespan
+        assert result.stage_makespans == baseline.stage_makespans
+
+    def test_record_checkpoint_still_restores(self, blobs_small):
+        """A checkpoint holding a record list (no batch key) still restores."""
+        X, _ = blobs_small
+        baseline = DistributedDASC(4, n_nodes=4, config=DASCConfig(seed=0)).run(X)
+
+        emr, dasc, flow_id = self.crash_after_stage1(X)
+        key = f"{flow_id}/checkpoints/step-000"
+        payload = emr.storage.get(key)
+        payload["output"] = payload.pop("output_batch").to_records()
+        emr.storage.put(key, payload)
+
+        result = dasc.resume(flow_id)
+        assert 0 in result.resumed_steps
+        assert isinstance(emr._flow(flow_id).flow.fs.read("signatures"), list)
+        assert np.array_equal(result.labels, baseline.labels)
+        assert result.counters == baseline.counters
+        assert result.makespan == baseline.makespan

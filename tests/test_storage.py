@@ -76,6 +76,47 @@ class TestEnvelope:
             unpack_envelope(bytes(data))
         assert exc.value.reason == "checksum"
 
+    def test_bytearray_envelope_decodes(self):
+        obj = {"keys": np.arange(64), "rows": np.ones((64, 3))}
+        data = bytearray(pack_envelope(obj))
+        out = unpack_envelope(data)
+        assert np.array_equal(out["keys"], obj["keys"])
+        assert np.array_equal(out["rows"], obj["rows"])
+        data.extend(b"\0")  # no view of the buffer outlives the call
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda d: d[:-7], "torn"),
+            (lambda d: d + b"\0", "torn"),
+            (lambda d: d[:9], "truncated-header"),
+        ],
+    )
+    def test_bytearray_damage_reasons(self, damage, reason):
+        data = bytearray(damage(pack_envelope(list(range(100)))))
+        with pytest.raises(CorruptObjectError) as exc:
+            unpack_envelope(data)
+        assert exc.value.reason == reason
+
+    def test_bytearray_bit_flip_is_a_checksum_error(self):
+        data = bytearray(pack_envelope(np.arange(256)))
+        data[len(data) // 2] ^= 0x01
+        with pytest.raises(CorruptObjectError) as exc:
+            unpack_envelope(data)
+        assert exc.value.reason == "checksum"
+        data.extend(b"\0")  # the failed check released its view too
+
+    def test_checksummed_garbage_is_undecodable(self):
+        import struct
+        import zlib
+
+        payload = b"not a pickle"
+        header = struct.pack(">4sBIQ", ENVELOPE_MAGIC, 1, zlib.crc32(payload), len(payload))
+        for data in (header + payload, bytearray(header + payload)):
+            with pytest.raises(CorruptObjectError) as exc:
+                unpack_envelope(data)
+            assert exc.value.reason == "undecodable"
+
     def test_errors_are_structured_not_bare(self):
         # The acceptance contract: damage never surfaces as EOFError etc.
         for damage in (b"", b"RSE1", pack_envelope("x")[:-1]):
