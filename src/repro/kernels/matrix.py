@@ -29,9 +29,21 @@ def pairwise_sq_distances(X, Y=None) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of X and Y (or X, X)."""
     X = check_2d(X)
     Y = X if Y is None else check_2d(Y)
-    x2 = np.einsum("ij,ij->i", X, X)[:, None]
-    y2 = np.einsum("ij,ij->i", Y, Y)[None, :]
-    d2 = x2 + y2 - 2.0 * (X @ Y.T)
+    return _sq_distances(X, _row_sq_norms(X), Y)
+
+
+def _row_sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a 2-D float array."""
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _sq_distances(X: np.ndarray, x_sq: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """:func:`pairwise_sq_distances` for checked inputs, given ``_row_sq_norms(X)``.
+
+    Loops that measure one fixed ``X`` against moving centres (Lloyd,
+    k-means++) compute ``x_sq`` once and skip the per-call validation.
+    """
+    d2 = x_sq[:, None] + _row_sq_norms(Y)[None, :] - 2.0 * (X @ Y.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 

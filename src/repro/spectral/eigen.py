@@ -6,17 +6,28 @@ symmetric (normalized-affinity) matrix:
 * ``"lanczos"`` — the paper's route: from-scratch Lanczos tridiagonalization
   (:mod:`repro.spectral.lanczos`) + implicit-shift QL
   (:mod:`repro.spectral.tridiagonal`), a Ritz-pair extraction.
-* ``"dense"`` — LAPACK ``eigh`` via numpy; the exact reference.
+* ``"dense"`` — LAPACK ``syevr`` (:func:`scipy.linalg.eigh` with an index
+  range) computing only the top ``k`` eigenpairs; still exact, and the
+  reference the other backends are checked against.
 * ``"arpack"`` — :func:`scipy.sparse.linalg.eigsh`, the implicitly restarted
   Lanczos the PSC baseline's PARPACK dependency corresponds to.
+
+Every backend rejects a matrix with a NaN or infinite entry with a
+``ValueError``, instead of returning NaN eigenpairs. When the Lanczos
+backend cannot deliver ``k`` finite pairs it falls back to ``dense`` and
+says so: an ``eigen.fallback`` trace event (``n``, ``k`` and a ``reason``
+of ``"exception"``, ``"short"`` or ``"non_finite"``) and one increment of
+the ``eigen.fallbacks`` counter.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.observability import get_tracer
 from repro.spectral.lanczos import lanczos_top_eigenpairs
 from repro.spectral.tridiagonal import tridiagonal_eigh  # noqa: F401 (re-exported)
 
@@ -31,7 +42,7 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
     Parameters
     ----------
     L:
-        Symmetric matrix, dense or sparse.
+        Symmetric matrix, dense or sparse, with finite entries.
     k:
         Number of eigenpairs; clipped to the matrix dimension.
     backend:
@@ -43,6 +54,12 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
     -------
     (eigenvalues, eigenvectors) with eigenvalues descending and
     eigenvectors as columns.
+
+    Raises
+    ------
+    ValueError
+        ``L`` is not square, holds a non-finite entry, ``k < 1`` or the
+        backend is unknown.
     """
     n = L.shape[0]
     if L.shape[0] != L.shape[1]:
@@ -52,6 +69,8 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
     k = min(k, n)
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; known: {_BACKENDS}")
+    if not np.isfinite(L.data if sp.issparse(L) else L).all():
+        raise ValueError("matrix holds non-finite entries")
 
     if backend == "arpack" and k < n - 1 and n > 2:
         rng = np.random.default_rng(seed)
@@ -63,27 +82,29 @@ def top_eigenvectors(L, k: int, *, backend: str = "dense", seed=0) -> tuple[np.n
     if backend == "lanczos" and n > 2:
         # Restarted Lanczos: handles degenerate eigenvalues (disconnected
         # affinity graphs) by deflated restarts after early breakdowns.
-        dense = _densify(L)
+        L = _densify(L)
         try:
-            vals, vecs = lanczos_top_eigenpairs(lambda v: dense @ v, n, k, seed=seed)
+            vals, vecs = lanczos_top_eigenpairs(lambda v: L @ v, n, k, seed=seed)
         except (RuntimeError, np.linalg.LinAlgError):
-            # Non-convergence (e.g. the tridiagonal QL hit its sweep cap):
-            # degrade gracefully to the exact dense solver.
-            vals = vecs = None
-        if (
-            vals is not None
-            and vals.shape[0] == k
-            and np.isfinite(vals).all()
-            and np.isfinite(vecs).all()
-        ):
-            return vals, vecs
-        # Space exhausted early (tiny matrices), non-convergence, or a
-        # numerically broken result: fall through to dense.
+            # Non-convergence, e.g. the tridiagonal QL hit its sweep cap.
+            reason = "exception"
+        else:
+            if vals.shape[0] != k:
+                reason = "short"  # Krylov space exhausted early (tiny matrices)
+            elif not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+                reason = "non_finite"
+            else:
+                return vals, vecs
+        tracer = get_tracer()
+        tracer.event("eigen.fallback", n=n, k=k, reason=reason)
+        tracer.metrics.counter("eigen.fallbacks").inc()
 
-    # Dense fallback (also the small-n path for the iterative backends).
-    vals, vecs = np.linalg.eigh(_densify(L))
-    order = np.argsort(vals)[::-1][:k]
-    return vals[order], vecs[:, order]
+    # Dense solve (also the small-n path and the fallback of the iterative
+    # backends): LAPACK syevr restricted to the index range of the top k.
+    vals, vecs = la.eigh(
+        _densify(L), subset_by_index=[n - k, n - 1], driver="evr", check_finite=False
+    )
+    return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
 
 
 def _densify(L) -> np.ndarray:

@@ -31,15 +31,17 @@ def spectral_embedding(S, k: int, *, backend: str = "dense", seed=0, validate: b
     Computes ``L = D^{-1/2} S D^{-1/2}`` (Eq. 2), extracts the ``k`` largest
     eigenvectors and row-normalizes. With ``validate`` the extracted
     eigenvalues are asserted to lie in ``[-1, 1]`` (the Eq.-2 spectrum
-    bound) and the embedding rows to be unit-norm, raising
+    bound), the pairs to be orthonormal eigenpairs of ``L`` (small
+    residual) and the embedding rows to be unit-norm, raising
     :class:`repro.verify.InvariantViolation` otherwise.
     """
     L = normalized_laplacian(S)
     vals, vecs = top_eigenvectors(L, k, backend=backend, seed=seed)
     Y = row_normalize(vecs)
     if validate:
-        from repro.verify.invariants import check_eigenvalues, check_embedding
+        from repro.verify.invariants import check_eigenpairs, check_eigenvalues, check_embedding
 
         check_eigenvalues(vals, stage="spectral.embedding")
+        check_eigenpairs(L, vals, vecs, stage="spectral.embedding")
         check_embedding(Y, stage="spectral.embedding")
     return Y

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.matrix import pairwise_sq_distances
+from repro.kernels.matrix import _row_sq_norms, _sq_distances, pairwise_sq_distances
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_2d
 
@@ -25,10 +25,11 @@ def kmeans_plus_plus_init(X: np.ndarray, n_clusters: int, rng: np.random.Generat
     n = X.shape[0]
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
+    x_sq = _row_sq_norms(X)
     centers = np.empty((n_clusters, X.shape[1]))
     first = int(rng.integers(n))
     centers[0] = X[first]
-    closest_sq = pairwise_sq_distances(X, centers[:1]).ravel()
+    closest_sq = _sq_distances(X, x_sq, centers[:1]).ravel()
     for c in range(1, n_clusters):
         total = closest_sq.sum()
         if total == 0:
@@ -38,7 +39,7 @@ def kmeans_plus_plus_init(X: np.ndarray, n_clusters: int, rng: np.random.Generat
         probs = closest_sq / total
         idx = int(rng.choice(n, p=probs))
         centers[c] = X[idx]
-        closest_sq = np.minimum(closest_sq, pairwise_sq_distances(X, centers[c : c + 1]).ravel())
+        closest_sq = np.minimum(closest_sq, _sq_distances(X, x_sq, centers[c : c + 1]).ravel())
     return centers
 
 
@@ -111,16 +112,22 @@ class KMeans:
     # -- internals ----------------------------------------------------------
 
     def _lloyd(self, X: np.ndarray, rng: np.random.Generator):
+        # X was checked by fit() and the centres are rows of X or means of
+        # them, so the loop measures distances without re-validating.
         centers = kmeans_plus_plus_init(X, self.n_clusters, rng)
+        x_sq = _row_sq_norms(X)
         labels = np.zeros(X.shape[0], dtype=np.int64)
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
-            d2 = pairwise_sq_distances(X, centers)
+            d2 = _sq_distances(X, x_sq, centers)
             labels = np.argmin(d2, axis=1)
             new_centers = centers.copy()
             counts = np.bincount(labels, minlength=self.n_clusters)
-            sums = np.zeros_like(centers)
-            np.add.at(sums, labels, X)
+            # One buffered bincount per column adds each cluster's rows in
+            # index order, the same order as the unbuffered np.add.at.
+            sums = np.empty_like(centers)
+            for j in range(X.shape[1]):
+                sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=self.n_clusters)
             nonempty = counts > 0
             new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
             # Re-seed empty clusters on the worst-served points. The
@@ -141,7 +148,7 @@ class KMeans:
             scale = np.linalg.norm(centers) or 1.0
             if shift / scale < self.tol:
                 break
-        d2 = pairwise_sq_distances(X, centers)
+        d2 = _sq_distances(X, x_sq, centers)
         labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(X.shape[0]), labels].sum())
         return centers, labels, inertia, n_iter

@@ -33,6 +33,7 @@ from repro.verify.invariants import (
     InvariantViolation,
     check_buckets,
     check_counter_equals,
+    check_eigenpairs,
     check_eigenvalues,
     check_embedding,
     check_gram_block,
@@ -47,6 +48,7 @@ __all__ = [
     "VerificationReport",
     "check_buckets",
     "check_counter_equals",
+    "check_eigenpairs",
     "check_eigenvalues",
     "check_embedding",
     "check_gram_block",

@@ -467,22 +467,27 @@ class TestDistributedEquivalence:
 
 class TestPerfImprovement:
     def test_stage1_and_shuffle_self_time_at_least_3x(self, tmp_path):
-        # The tentpole's acceptance bar: stage-1 map + shuffle self-time on
-        # the batched plane beats the record path by >= 3x (measured ~13x;
-        # the margin absorbs runner jitter). Same workload shape as
-        # benchmarks/perf_smoke.py, scaled up for a stable signal.
+        # The acceptance bar: stage-1 map + shuffle self-time on the batched
+        # plane beats the record path by >= 3x (measured ~13x; the margin
+        # absorbs runner jitter). Same workload shape as
+        # benchmarks/perf_smoke.py, scaled up for a stable signal. Each
+        # plane is measured as its fastest of three traced runs: with one
+        # run per plane the ratio read 2.2x once in a full-suite run.
         from repro.data.synthetic import make_blobs
         from repro.observability import read_trace, snapshot_from_trace, trace_to
 
         X, _ = make_blobs(1600, n_clusters=4, n_features=16,
                           cluster_std=0.03, seed=0)
 
-        def self_times(plane):
-            path = str(tmp_path / f"{plane}.jsonl")
+        def self_time(plane, run):
+            path = str(tmp_path / f"{plane}-{run}.jsonl")
             with trace_to(path):
                 run_dasc(plane, X)
             stages = snapshot_from_trace(read_trace(path), plane)["stages"]
             return sum(stages[s]["self"] for s in ("mr.map_task", "mr.shuffle"))
+
+        def self_times(plane):
+            return min(self_time(plane, run) for run in range(3))
 
         record_time = self_times("record")
         batched_time = self_times("batched")

@@ -181,3 +181,116 @@ class TestSpectralClustering:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             SpectralClustering(0)
+
+
+# -- reference Lloyd loop ------------------------------------------------------
+# The k-means++ seeding and Lloyd loop as they were written with the
+# validating ``pairwise_sq_distances`` and the unbuffered ``np.add.at``.
+# ``KMeans`` must reproduce them bit for bit: its loop adds the same numbers
+# in the same order, only without re-validating or re-computing row norms.
+
+
+def _reference_kmeans_pp(X, n_clusters, rng):
+    from repro.kernels.matrix import pairwise_sq_distances
+
+    n = X.shape[0]
+    centers = np.empty((n_clusters, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    closest_sq = pairwise_sq_distances(X, centers[:1]).ravel()
+    for c in range(1, n_clusters):
+        total = closest_sq.sum()
+        if total == 0:
+            centers[c:] = X[rng.integers(n, size=n_clusters - c)]
+            break
+        idx = int(rng.choice(n, p=closest_sq / total))
+        centers[c] = X[idx]
+        closest_sq = np.minimum(closest_sq, pairwise_sq_distances(X, centers[c : c + 1]).ravel())
+    return centers
+
+
+def _reference_lloyd(X, n_clusters, max_iter, tol, rng):
+    from repro.kernels.matrix import pairwise_sq_distances
+
+    centers = _reference_kmeans_pp(X, n_clusters, rng)
+    n_iter, reseeded = 0, False
+    for n_iter in range(1, max_iter + 1):
+        d2 = pairwise_sq_distances(X, centers)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        counts = np.bincount(labels, minlength=n_clusters)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, X)
+        nonempty = counts > 0
+        new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        empty = np.nonzero(~nonempty)[0]
+        if empty.size:
+            reseeded = True
+            farthest = d2[np.arange(X.shape[0]), labels].astype(np.float64)
+            for c in empty:
+                worst = int(np.argmax(farthest))
+                new_centers[c] = X[worst]
+                labels[worst] = c
+                farthest[worst] = -np.inf
+        shift = np.linalg.norm(new_centers - centers)
+        centers = new_centers
+        if shift / (np.linalg.norm(centers) or 1.0) < tol:
+            break
+    d2 = pairwise_sq_distances(X, centers)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(X.shape[0]), labels].sum())
+    return centers, labels, inertia, n_iter, reseeded
+
+
+def _reference_kmeans(X, n_clusters, *, n_init, max_iter, tol, seed):
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        run = _reference_lloyd(X, n_clusters, max_iter, tol, rng)
+        if best is None or run[2] < best[2]:
+            best = run
+    return best
+
+
+def _assert_kmeans_equals_reference(X, k, n_init, seed):
+    km = KMeans(k, n_init=n_init, max_iter=30, seed=seed).fit(X)
+    centers, labels, inertia, n_iter, reseeded = _reference_kmeans(
+        X, k, n_init=n_init, max_iter=30, tol=km.tol, seed=seed
+    )
+    assert np.array_equal(km.cluster_centers_, centers)
+    assert np.array_equal(km.labels_, labels)
+    assert km.inertia_ == inertia
+    assert km.n_iter_ == n_iter
+    return reseeded
+
+
+@st.composite
+def _kmeans_cases(draw):
+    """Rows drawn with repetition from a pool of distinct points. A pool
+    smaller than K leaves k-means++ short of distinct centres, so clusters
+    go empty and are re-seeded (about a fifth of the cases)."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(st.floats(-2, 2), min_size=d, max_size=d),
+                         min_size=1, max_size=n, unique_by=tuple))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    X = np.array([pool[i] for i in picks])
+    return X, draw(st.integers(1, min(n, 7))), draw(st.integers(1, 3)), draw(st.integers(0, 2**31 - 1))
+
+
+class TestKMeansMatchesReferenceLoop:
+    @given(_kmeans_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical(self, case):
+        _assert_kmeans_equals_reference(*case)
+
+    def test_bit_identical_through_empty_cluster_reseeding(self):
+        # Five copies of one point and two of another, K = 4: k-means++
+        # runs out of distinct points, so two centres coincide and the
+        # clusters left empty are re-seeded.
+        X = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 2)
+        assert _assert_kmeans_equals_reference(X, 4, 2, 0)
+
+    def test_bit_identical_on_an_embedding(self, blobs_small):
+        X, _ = blobs_small
+        Y = spectral_embedding(GaussianKernel(0.5)(X), 4, seed=0)
+        _assert_kmeans_equals_reference(Y, 4, 4, 11)

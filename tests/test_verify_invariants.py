@@ -10,6 +10,7 @@ from repro.verify import (
     InvariantViolation,
     check_buckets,
     check_counter_equals,
+    check_eigenpairs,
     check_eigenvalues,
     check_embedding,
     check_gram_block,
@@ -148,6 +149,52 @@ class TestSpectralChecks:
         check_embedding(Y)
         with pytest.raises(InvariantViolation, match="unit-norm"):
             check_embedding(np.array([[0.5, 0.0]]))
+
+    @staticmethod
+    def _laplacian_pairs(k=3):
+        import scipy.sparse as sp
+
+        from repro.spectral import normalized_laplacian, top_eigenvectors
+
+        rng = np.random.default_rng(0)
+        A = rng.uniform(0, 1, (30, 30))
+        L = normalized_laplacian((A + A.T) / 2)
+        vals, vecs = top_eigenvectors(L, k)
+        return L, sp.csr_matrix(L), vals, vecs
+
+    def test_eigenpairs_pass_dense_and_sparse(self):
+        L, L_sparse, vals, vecs = self._laplacian_pairs()
+        check_eigenpairs(L, vals, vecs)
+        check_eigenpairs(L_sparse, vals, vecs)
+
+    def test_eigenpairs_residual(self):
+        L, _, vals, vecs = self._laplacian_pairs()
+        with pytest.raises(InvariantViolation, match="residual"):
+            check_eigenpairs(L, vals + 1e-6, vecs)
+        swapped = vecs[:, [1, 0, 2]]  # orthonormal, but paired with the wrong values
+        with pytest.raises(InvariantViolation, match="residual"):
+            check_eigenpairs(L, vals, swapped)
+
+    def test_eigenpairs_orthonormality(self):
+        L = np.diag([3.0, 2.0, 1.0])
+        with pytest.raises(InvariantViolation, match="V\\^T V - I"):
+            check_eigenpairs(L, np.array([3.0, 2.0]), np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+
+    def test_eigenpairs_shape(self):
+        L, _, vals, vecs = self._laplacian_pairs()
+        with pytest.raises(InvariantViolation, match="shape"):
+            check_eigenpairs(L, vals[:2], vecs)
+
+    def test_embedding_hook_checks_eigenpairs(self, monkeypatch):
+        import repro.spectral.embedding as embedding_mod
+
+        # A solver that hands back the eigenpairs of another matrix.
+        L, _, vals, vecs = self._laplacian_pairs()
+        monkeypatch.setattr(embedding_mod, "top_eigenvectors", lambda L, k, **kw: (vals, vecs))
+        S = np.ones((30, 30)) - np.eye(30)
+        with pytest.raises(InvariantViolation, match="residual"):
+            embedding_mod.spectral_embedding(S, 3, validate=True)
+        embedding_mod.spectral_embedding(S, 3, validate=False)
 
 
 class TestLabelChecks:
